@@ -3,33 +3,10 @@
 //! Where the main `rlb-sim` run simulates every server, `fastforward`
 //! solves the fluid-limit model from `rlb-meanfield` — the answer for
 //! `m = 10^8` arrives in milliseconds because the solver's cost is
-//! `O(q)` per iteration, independent of `m`.
-//!
-//! ```text
-//! rlb-sim fastforward [OPTIONS]
-//!
-//!   --m M                cluster size (default 1048576; only enters
-//!                        finite-m report quantities)
-//!   --rate G             requests drained per server per step (default 8)
-//!   --queue Q            queue capacity (default log2 m + 1)
-//!   --uncapped K         model an uncapped queue, truncating the tail
-//!                        vector at depth K (overflow is censored)
-//!   --lambda X           arrivals per server per step (default 0.9*G)
-//!   --per-step N         total arrivals per step (X = N / M)
-//!   --replication D      the d of power-of-d (default 2)
-//!   --policy NAME        greedy | one-choice | uniform-random
-//!   --mode fixpoint|ode  steady state (default) or explicit-Euler
-//!                        transient integration
-//!   --phases SPEC        ode only: L1:T1,L2:T2,... phases of T steps
-//!                        at arrival intensity L (default one phase of
-//!                        4096 steps at --lambda)
-//!   --damping A          fixed-point damping in (0, 1] (default 1.0)
-//!   --tolerance T        convergence tolerance, > 0 (default 1e-12)
-//!   --max-iters N        iteration budget (default 20000)
-//!   --euler-dt DT        within-step Euler substep (default 0.05)
-//!   --json               emit the prediction as JSON
-//! ```
+//! `O(q)` per iteration, independent of `m`. `rlb-sim fastforward
+//! --help` lists the flags.
 
+use crate::flags::{self, float, num, positive, set, Flag};
 use rlb_meanfield::{
     solve_fixpoint, solve_transient, MfConfig, MfPolicy, Phase, Prediction, SolveOptions,
 };
@@ -50,37 +27,97 @@ pub struct FastForwardOptions {
     pub json: bool,
 }
 
-/// Parses a float-valued flag, echoing the offending input on failure.
-fn parse_float(flag: &str, raw: &str) -> Result<f64, String> {
-    raw.parse::<f64>()
-        .map_err(|_| format!("{flag}: not a number: {raw:?}"))
-}
-
 /// Parses `--phases L1:T1,L2:T2,...`.
 fn parse_phases(raw: &str) -> Result<Vec<Phase>, String> {
     let mut phases = Vec::new();
     for part in raw.split(',') {
         let (lam, steps) = part
             .split_once(':')
-            .ok_or_else(|| format!("--phases: expected LAMBDA:STEPS, got {part:?}"))?;
-        let lambda = parse_float("--phases", lam)?;
-        if !lambda.is_finite() || lambda < 0.0 {
-            return Err(format!(
-                "--phases: lambda must be finite and >= 0, got {lam:?}"
-            ));
-        }
-        let steps: u64 = steps
-            .parse()
-            .map_err(|_| format!("--phases: not a step count: {steps:?}"))?;
-        if steps == 0 {
-            return Err(format!("--phases: steps must be positive, got {part:?}"));
-        }
-        phases.push(Phase { lambda, steps });
-    }
-    if phases.is_empty() {
-        return Err("--phases: empty list".into());
+            .ok_or_else(|| format!("expected LAMBDA:STEPS, got {part:?}"))?;
+        phases.push(Phase {
+            lambda: float(lam, "finite and >= 0", |x| x >= 0.0)?,
+            steps: positive(steps)?,
+        });
     }
     Ok(phases)
+}
+
+/// A `fastforward` flag.
+type FfFlag = Flag<FastForwardOptions>;
+
+const FF_FLAGS: &[FfFlag] = &[
+    FfFlag::value("--m M", |o, v| set(&mut o.config.m, positive(v)))
+        .help("cluster size (default 1048576; only enters finite-m report quantities)"),
+    FfFlag::value("--rate G", |o, v| {
+        set(&mut o.config.process_rate, positive(v))
+    })
+    .help("requests drained per server per step (default 8)"),
+    FfFlag::value("--queue Q", |o, v| {
+        set(&mut o.config.queue_capacity, positive(v).map(Some))
+    })
+    .help("queue capacity (default log2 m + 1)"),
+    FfFlag::value("--uncapped K", |o, v| {
+        o.config.truncation_depth = positive(v)?;
+        o.config.queue_capacity = None;
+        Ok(())
+    })
+    .help("uncapped queue, tail truncated at depth K (overflow is censored)"),
+    FfFlag::value("--lambda X", |o, v| {
+        set(
+            &mut o.config.lambda,
+            float(v, "finite and >= 0", |x| x >= 0.0),
+        )
+    })
+    .help("arrivals per server per step (default 0.9·G)"),
+    // Divided by m once parsing is done, as `--m` may come later.
+    FfFlag::value("--per-step N", |o, v| {
+        set(&mut o.config.lambda, num::<u64>(v).map(|n| n as f64))
+    })
+    .help("total arrivals per step (X = N / M)"),
+    FfFlag::value("--replication D", |o, v| {
+        set(&mut o.config.replication, positive(v))
+    })
+    .help("the d of power-of-d (default 2)"),
+    FfFlag::value("--policy NAME", |o, v| {
+        set(&mut o.config.policy, MfPolicy::parse(v))
+    })
+    .help("greedy (default) | one-choice | uniform-random"),
+    FfFlag::value("--mode fixpoint|ode", |o, v| {
+        if v != "fixpoint" && v != "ode" {
+            return Err(format!("expected fixpoint or ode, got {v:?}"));
+        }
+        set(&mut o.mode, Ok(v.into()))
+    })
+    .help("steady state (default) or explicit-Euler transient integration"),
+    FfFlag::value("--phases L1:T1,...", |o, v| {
+        set(&mut o.phases, parse_phases(v))
+    })
+    .help("ode only: phases of T steps at intensity L (default 4096 steps at --lambda)"),
+    FfFlag::value("--damping A", |o, v| {
+        set(
+            &mut o.solve.damping,
+            float(v, "in (0, 1]", |x| x > 0.0 && x <= 1.0),
+        )
+    })
+    .help("fixed-point damping in (0, 1] (default 1.0)"),
+    FfFlag::value("--tolerance T", |o, v| {
+        set(&mut o.solve.tolerance, float(v, "positive", |x| x > 0.0))
+    })
+    .help("convergence tolerance, > 0 (default 1e-12)"),
+    FfFlag::value("--max-iters N", |o, v| {
+        set(&mut o.solve.max_iters, positive(v))
+    })
+    .help("iteration budget (default 20000)"),
+    FfFlag::value("--euler-dt DT", |o, v| {
+        set(&mut o.config.euler_dt, float(v, "positive", |x| x > 0.0))
+    })
+    .help("within-step Euler substep (default 0.05)"),
+    FfFlag::switch("--json", |o| o.json = true).help("emit the prediction as JSON"),
+];
+
+/// The `fastforward` flag list for `--help`.
+pub(crate) fn help() -> String {
+    flags::render(&[FF_FLAGS])
 }
 
 /// Parses `fastforward` arguments (after the subcommand name).
@@ -92,183 +129,46 @@ fn parse_phases(raw: &str) -> Result<Vec<Phase>, String> {
 /// # Errors
 /// Returns a usage-style message on malformed input.
 pub fn parse_fastforward_args(args: &[String]) -> Result<FastForwardOptions, String> {
-    let mut m: u64 = 1 << 20;
-    let mut rate: u32 = 8;
-    let mut queue: Option<u32> = None;
-    let mut uncapped: Option<u32> = None;
-    let mut lambda: Option<f64> = None;
-    let mut per_step: Option<u64> = None;
-    let mut replication: u32 = 2;
-    let mut policy = MfPolicy::Greedy;
-    let mut mode = "fixpoint".to_string();
-    let mut phases: Option<Vec<Phase>> = None;
-    let mut solve = SolveOptions::default();
-    let mut euler_dt = 0.05;
-    let mut json = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--m" => {
-                let raw = value("--m")?;
-                m = raw
-                    .parse()
-                    .map_err(|_| format!("--m: not a number: {raw:?}"))?;
-                if m == 0 {
-                    return Err(format!("--m: must be positive, got {raw:?}"));
-                }
-            }
-            "--rate" => {
-                let raw = value("--rate")?;
-                rate = raw
-                    .parse()
-                    .map_err(|_| format!("--rate: not a number: {raw:?}"))?;
-                if rate == 0 {
-                    return Err(format!("--rate: must be positive, got {raw:?}"));
-                }
-            }
-            "--queue" => {
-                let raw = value("--queue")?;
-                let q: u32 = raw
-                    .parse()
-                    .map_err(|_| format!("--queue: not a number: {raw:?}"))?;
-                if q == 0 {
-                    return Err(format!("--queue: must be positive, got {raw:?}"));
-                }
-                queue = Some(q);
-            }
-            "--uncapped" => {
-                let raw = value("--uncapped")?;
-                let k: u32 = raw
-                    .parse()
-                    .map_err(|_| format!("--uncapped: not a depth: {raw:?}"))?;
-                if k == 0 {
-                    return Err(format!("--uncapped: depth must be positive, got {raw:?}"));
-                }
-                uncapped = Some(k);
-            }
-            "--lambda" => {
-                let raw = value("--lambda")?;
-                let x = parse_float("--lambda", &raw)?;
-                if !x.is_finite() || x < 0.0 {
-                    return Err(format!("--lambda: must be finite and >= 0, got {raw:?}"));
-                }
-                lambda = Some(x);
-            }
-            "--per-step" => {
-                let raw = value("--per-step")?;
-                per_step = Some(
-                    raw.parse()
-                        .map_err(|_| format!("--per-step: not a number: {raw:?}"))?,
-                );
-            }
-            "--replication" => {
-                let raw = value("--replication")?;
-                replication = raw
-                    .parse()
-                    .map_err(|_| format!("--replication: not a number: {raw:?}"))?;
-                if replication == 0 {
-                    return Err(format!("--replication: must be positive, got {raw:?}"));
-                }
-            }
-            "--policy" => policy = MfPolicy::parse(&value("--policy")?)?,
-            "--mode" => {
-                mode = value("--mode")?;
-                if mode != "fixpoint" && mode != "ode" {
-                    return Err(format!("--mode: expected fixpoint or ode, got {mode:?}"));
-                }
-            }
-            "--phases" => phases = Some(parse_phases(&value("--phases")?)?),
-            "--damping" => {
-                let raw = value("--damping")?;
-                let a = parse_float("--damping", &raw)?;
-                if !a.is_finite() || a <= 0.0 || a > 1.0 {
-                    return Err(format!("--damping: must be in (0, 1], got {raw:?}"));
-                }
-                solve.damping = a;
-            }
-            "--tolerance" => {
-                let raw = value("--tolerance")?;
-                let t = parse_float("--tolerance", &raw)?;
-                if !t.is_finite() || t <= 0.0 {
-                    return Err(format!("--tolerance: must be positive, got {raw:?}"));
-                }
-                solve.tolerance = t;
-            }
-            "--max-iters" => {
-                let raw = value("--max-iters")?;
-                solve.max_iters = raw
-                    .parse()
-                    .map_err(|_| format!("--max-iters: not a number: {raw:?}"))?;
-                if solve.max_iters == 0 {
-                    return Err(format!("--max-iters: must be positive, got {raw:?}"));
-                }
-            }
-            "--euler-dt" => {
-                let raw = value("--euler-dt")?;
-                euler_dt = parse_float("--euler-dt", &raw)?;
-                if !euler_dt.is_finite() || euler_dt <= 0.0 {
-                    return Err(format!("--euler-dt: must be positive, got {raw:?}"));
-                }
-            }
-            "--json" => json = true,
-            other => return Err(format!("unknown fastforward option {other:?}")),
+    let mut o = FastForwardOptions {
+        config: MfConfig::baseline(1 << 20),
+        solve: SolveOptions::default(),
+        mode: "fixpoint".into(),
+        phases: Vec::new(),
+        json: false,
+    };
+    let seen = flags::parse("fastforward", &[FF_FLAGS], args, &mut o)?;
+    let given = |flag: &str| seen.contains(&flag);
+    for (a, b) in [("--queue", "--uncapped"), ("--lambda", "--per-step")] {
+        if given(a) && given(b) {
+            return Err(format!("{a} and {b} are mutually exclusive"));
         }
     }
-
-    if queue.is_some() && uncapped.is_some() {
-        return Err("--queue and --uncapped are mutually exclusive".into());
-    }
-    if lambda.is_some() && per_step.is_some() {
-        return Err("--lambda and --per-step are mutually exclusive".into());
-    }
-    if phases.is_some() && mode != "ode" {
+    if given("--phases") && o.mode != "ode" {
         return Err("--phases requires --mode ode".into());
     }
-    let lambda = match (lambda, per_step) {
-        (Some(x), _) => x,
-        (None, Some(n)) => n as f64 / m as f64,
-        (None, None) => 0.9 * f64::from(rate),
-    };
-    // Default capacity mirrors `MfConfig::baseline`: log2 m + 1.
-    let default_q = (64 - m.max(2).leading_zeros()).max(4);
-    let (queue_capacity, truncation_depth) = match uncapped {
-        Some(k) => (None, k),
-        None => {
-            let q = queue.unwrap_or(default_q);
-            (Some(q), q)
+    // The defaults that depend on other flags, as `MfConfig::baseline`
+    // sets them: λ = 0.9·g and q = log2 m + 1.
+    let c = &mut o.config;
+    if given("--per-step") {
+        c.lambda /= c.m as f64;
+    } else if !given("--lambda") {
+        c.lambda = 0.9 * f64::from(c.process_rate);
+    }
+    if !given("--uncapped") {
+        if !given("--queue") {
+            c.queue_capacity = MfConfig::baseline(c.m).queue_capacity;
         }
-    };
-    let config = MfConfig {
-        m,
-        lambda,
-        replication,
-        process_rate: rate,
-        queue_capacity,
-        truncation_depth,
-        policy,
-        euler_dt,
-    };
-    config.validate()?;
-    solve.validate()?;
-    let phases = phases.unwrap_or_else(|| {
-        vec![Phase {
-            lambda,
+        c.truncation_depth = c.depth();
+    }
+    c.validate()?;
+    o.solve.validate()?;
+    if !given("--phases") {
+        o.phases = vec![Phase {
+            lambda: c.lambda,
             steps: 4096,
-        }]
-    });
-    Ok(FastForwardOptions {
-        config,
-        solve,
-        mode,
-        phases,
-        json,
-    })
+        }];
+    }
+    Ok(o)
 }
 
 /// Solves the parsed model, returning the prediction and the solver

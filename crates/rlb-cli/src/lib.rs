@@ -2,71 +2,16 @@
 //!
 //! Everything the binary does — argument parsing, policy dispatch, run
 //! execution, report rendering — lives here so it can be unit-tested;
-//! `main.rs` is a thin shell.
-//!
-//! ```text
-//! rlb-sim [OPTIONS]
-//!
-//!   --policy NAME        greedy | delayed-cuckoo | one-choice |
-//!                        uniform-random | round-robin | step-isolated
-//!                        (default greedy)
-//!   --servers M          cluster size (default 1024)
-//!   --chunks N           chunk universe (default 4*M)
-//!   --replication D      replicas per chunk (default 2)
-//!   --rate G             requests processed per server per step (default 16)
-//!   --queue Q            queue capacity (default 16)
-//!   --steps T            steps to simulate (default 200)
-//!   --seed S             master seed (default 0)
-//!   --workload SPEC      repeated:K | fresh:K | partial:P,K |
-//!                        zipf:ALPHA,K |
-//!                        phased:W,K,T | burst:B,T,LB,LT (default repeated:M)
-//!   --flush T            flush queues every T steps (default never)
-//!   --interleaved        use sub-step (interleaved) draining
-//!   --json               emit the full report as JSON
-//!
-//! rlb-sim bench [--out PATH] [--sizes M1,M2,...]
-//!
-//!   Runs the engine perf gate (light/heavy/interleaved scenarios per
-//!   cluster size; default sizes 1024,8192,65536) and writes the
-//!   machine-readable results to PATH (default BENCH_engine.json).
-//!
-//! rlb-sim bench --suite [--out PATH] [--quick]
-//!
-//!   Times `experiments all` as a subprocess, serial (--jobs 1) vs the
-//!   default executor size, fastest-of-3 each, and writes the results
-//!   to PATH (default BENCH_experiments.json) with the same 0.95x
-//!   ratio gate against the previously committed numbers.
-//!
-//! rlb-sim bench --meanfield [--out PATH]
-//!
-//!   Times mean-field steady-state solves across m plus the
-//!   solver-vs-engine comparison at m = 65536, writes the results to
-//!   PATH (default BENCH_meanfield.json), and exits 1 if the recorded
-//!   speedup drops below the committed 100x floor.
-//!
-//! rlb-sim fastforward [--m M] [--rate G] [--queue Q | --uncapped K]
-//!                     [--lambda X | --per-step N] [--replication D]
-//!                     [--policy NAME] [--mode fixpoint|ode]
-//!                     [--phases L:T,...] [--damping A] [--tolerance T]
-//!                     [--max-iters N] [--euler-dt DT] [--json]
-//!
-//!   Solves the mean-field fluid model instead of simulating servers:
-//!   steady-state rejection/latency/backlog for m up to 10^8 in
-//!   milliseconds (see `rlb-meanfield`). Exits 1 if the solve did not
-//!   converge.
-//!
-//! rlb-sim trace [RUN OPTIONS] [--out PATH]
-//!
-//!   Runs the scenario with the JSONL trace sink attached, writes the
-//!   event stream to PATH (default trace.jsonl), then re-parses the
-//!   persisted file through the aggregator and prints the per-class
-//!   latency summary table alongside the usual report.
-//! ```
+//! `main.rs` is a thin shell over [`COMMANDS`]. Every entry point's
+//! flags are declared once, as tables the one parser walks and the
+//! `--help` text is rendered from: `rlb-sim --help` lists the
+//! subcommands and `rlb-sim <subcommand> --help` lists each one's flags.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub(crate) mod fastforward;
+pub(crate) mod flags;
 pub(crate) mod serve_load;
 
 pub use fastforward::{
@@ -74,11 +19,135 @@ pub use fastforward::{
 };
 pub use serve_load::{parse_serve_load_args, run_load, run_serve, ServeLoadOptions};
 
+use flags::{num, positive, set, Flag};
+use rlb_bench::engine::{GateRow, GATE_MIN_RATIO};
 use rlb_core::policies::{
     DelayedCuckoo, Greedy, OneChoice, RoundRobin, TimeStepIsolated, UniformRandom,
 };
 use rlb_core::{DrainMode, NoopSink, Policy, RunReport, SimConfig, Simulation, TraceSink};
 use rlb_workloads::{Trace, WorkloadSpec};
+use std::fmt::Write as _;
+
+/// How a failed invocation ends: the message for stderr and the exit
+/// code, 2 for a usage error and 1 for a run that failed.
+#[derive(Debug)]
+pub struct CliError {
+    /// Process exit code.
+    pub code: i32,
+    /// What went wrong.
+    pub message: String,
+}
+
+impl From<String> for CliError {
+    /// A usage error (exit 2), so `?` works on the parsers' results.
+    fn from(message: String) -> Self {
+        Self { code: 2, message }
+    }
+}
+
+/// How an entry point ends: the text for stdout and whether the run
+/// succeeded (the binary exits 1 if not), or an error.
+type Outcome = Result<(String, bool), CliError>;
+
+/// One `rlb-sim` entry point: the top-level run or a subcommand.
+struct Command {
+    /// The subcommand word; empty for the top-level run.
+    name: &'static str,
+    /// What it does, in one line.
+    about: &'static str,
+    /// The flag list, rendered from the parser's own tables.
+    flags: fn() -> String,
+    /// Runs the command on the arguments after its word.
+    run: fn(&[String]) -> Outcome,
+}
+
+/// Every entry point, the top-level run first.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "",
+        about: "simulate a load-balanced distributed KV store",
+        flags: || run_help(RUN),
+        run: |args| {
+            let opts = parse_args(args).map_err(|e| format!("{e}\n(run with --help for usage)"))?;
+            let report = run(&opts).map_err(|message| CliError { code: 1, message })?;
+            let out = if opts.json {
+                format!("{}\n", rlb_json::to_string_pretty(&report))
+            } else {
+                render_text(&opts, &report)
+            };
+            Ok((out, true))
+        },
+    },
+    Command {
+        name: "bench",
+        about: "run a perf gate (the engine's by default); exits 1 if the gate fails",
+        flags: || flags::render(&[BENCH_FLAGS]),
+        run: |args| Ok(run_bench(args)?),
+    },
+    Command {
+        name: "fastforward",
+        about: "solve the mean-field fluid model; exits 1 if the solve does not converge",
+        flags: fastforward::help,
+        run: |args| Ok(run_fastforward(args)?),
+    },
+    Command {
+        name: "trace",
+        about: "run with the JSONL trace sink and summarise the stream read back from disk",
+        flags: || run_help(TRACE),
+        run: |args| Ok((run_trace(args)?, true)),
+    },
+    Command {
+        name: "serve",
+        about: "run the KV serving daemon over TCP, or with --sim-clock the co-simulation",
+        flags: serve_load::help,
+        run: |args| Ok((run_serve(args)?, true)),
+    },
+    Command {
+        name: "load",
+        about: "drive a running server, or with --sim-clock the serve+load co-simulation",
+        flags: serve_load::help,
+        run: |args| Ok((run_load(args)?, true)),
+    },
+    Command {
+        name: "lint",
+        about: "run rlb-lint over crates/*/src; exits 1 on any finding or stale suppression",
+        flags: || flags::render(&[LINT_FLAGS]),
+        run: |args| Ok(run_lint(args)?),
+    },
+];
+
+/// Runs the `rlb-sim` invocation `args` (without the program name):
+/// picks the entry point from its first word, then answers `--help`
+/// from its flag tables or runs it.
+///
+/// # Errors
+/// A usage error (exit 2) or a run that failed (exit 1).
+pub fn dispatch(args: &[String]) -> Outcome {
+    let subcommand = args.split_first().and_then(|(word, rest)| {
+        let cmd = COMMANDS[1..].iter().find(|c| c.name == word.as_str())?;
+        Some((cmd, rest))
+    });
+    let (cmd, args) = subcommand.unwrap_or((&COMMANDS[0], args));
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok((help(cmd), true));
+    }
+    (cmd.run)(args)
+}
+
+/// The `--help` text of `cmd`; the top level also lists the
+/// subcommands.
+fn help(cmd: &Command) -> String {
+    let space = if cmd.name.is_empty() { "" } else { " " };
+    let mut out = format!("rlb-sim{space}{}: {}\n", cmd.name, cmd.about);
+    let _ = write!(out, "\noptions:\n{}", (cmd.flags)());
+    if cmd.name.is_empty() {
+        out.push_str("\nsubcommands (rlb-sim SUBCOMMAND --help lists each one's options):\n");
+        for c in &COMMANDS[1..] {
+            let _ = writeln!(out, "  {:<12} {}", c.name, c.about);
+        }
+    }
+    out
+}
 
 /// A fully parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,15 +175,9 @@ impl Default for CliOptions {
         Self {
             policy: "greedy".into(),
             config: SimConfig {
-                num_servers: m,
-                num_chunks: 4 * m,
-                replication: 2,
                 process_rate: 16,
                 queue_capacity: 16,
-                flush_interval: None,
-                drain_mode: DrainMode::EndOfStep,
-                seed: 0,
-                safety_check_every: Some(1),
+                ..SimConfig::baseline(m)
             },
             steps: 200,
             workload: WorkloadSpec::Repeated { k: m as u32 },
@@ -125,28 +188,110 @@ impl Default for CliOptions {
     }
 }
 
-/// Parses one numeric flag value, echoing the offending input on
-/// failure (a bare "not a number" with the value swallowed made typos
-/// like `--servers 1O24` needlessly hard to spot).
-fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
-    raw.parse()
-        .map_err(|_| format!("{flag}: not a number: {raw:?}"))
+/// The run parser's working state: `--workload` is read once the chunk
+/// universe is final, and `trace` adds `--out`.
+struct RunArgs {
+    opts: CliOptions,
+    workload: Option<String>,
+    out: String,
 }
 
-/// Like [`parse_num`], additionally rejecting zero. `--servers 0`,
-/// `--chunks 0`, and `--queue 0` used to slip through parsing and blow
-/// up later — as a constructor panic (an empty cluster has no
-/// placement) or, worse, as a silently useless run — instead of the
-/// usage error (exit 2) every other malformed flag produces.
-fn parse_positive<T: std::str::FromStr + PartialEq + From<u8>>(
-    flag: &str,
-    raw: &str,
-) -> Result<T, String> {
-    let v: T = parse_num(flag, raw)?;
-    if v == T::from(0u8) {
-        return Err(format!("{flag}: must be positive, got {raw:?}"));
+impl AsMut<SimConfig> for RunArgs {
+    fn as_mut(&mut self) -> &mut SimConfig {
+        &mut self.opts.config
     }
-    Ok(v)
+}
+
+/// A run (and `trace`) flag.
+type RunFlag = Flag<RunArgs>;
+
+/// The run flags besides the engine ones.
+const RUN_FLAGS: &[RunFlag] = &[
+    RunFlag::value("--policy NAME", |a, v| {
+        set(&mut a.opts.policy, Ok(v.into()))
+    })
+    .help(
+        "greedy (default) | delayed-cuckoo (alias dcr) | one-choice |\n\
+               uniform-random | round-robin | step-isolated",
+    ),
+    RunFlag::value("--config PATH", |a, path| {
+        let json = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read config {path:?}: {e}"))?;
+        a.opts.config =
+            rlb_json::from_str(&json).map_err(|e| format!("bad config {path:?}: {e}"))?;
+        Ok(())
+    })
+    .help("load the whole engine configuration from a JSON file"),
+    RunFlag::value("--steps T", |a, v| set(&mut a.opts.steps, num(v)))
+        .help("steps to simulate (default 200)"),
+    RunFlag::value("--workload SPEC", |a, v| {
+        set(&mut a.workload, Ok(Some(v.into())))
+    })
+    .help(
+        "repeated:K | fresh:K | partial:P,K | zipf:ALPHA,K | phased:W,K,T |\n\
+               burst:B,T,LB,LT (default repeated:M)",
+    ),
+    RunFlag::value("--flush T", |a, v| {
+        set(&mut a.opts.config.flush_interval, positive(v).map(Some))
+    })
+    .help("flush every queue every T steps (default never)"),
+    RunFlag::switch("--interleaved", |a| {
+        a.opts.config.drain_mode = DrainMode::Interleaved
+    })
+    .help("sub-step (interleaved) draining"),
+    RunFlag::value("--record-trace PATH", |a, v| {
+        set(&mut a.opts.record_trace, Ok(Some(v.into())))
+    })
+    .help("write the generated request trace to PATH (JSON)"),
+    RunFlag::value("--replay-trace PATH", |a, v| {
+        set(&mut a.opts.replay_trace, Ok(Some(v.into())))
+    })
+    .help("replay a recorded request trace instead of generating one"),
+    RunFlag::switch("--json", |a| a.opts.json = true).help("emit the full report as JSON"),
+];
+
+/// `trace`'s one flag beyond the run flags.
+const TRACE_FLAGS: &[RunFlag] =
+    &[
+        RunFlag::value("--out PATH", |a, v| set(&mut a.out, Ok(v.into())))
+            .help("where to write the event stream (default trace.jsonl)"),
+    ];
+
+/// The flag tables of the top-level run and of `trace`.
+const RUN: &[&[RunFlag]] = &[&Flag::ENGINE, RUN_FLAGS];
+const TRACE: &[&[RunFlag]] = &[&Flag::ENGINE, RUN_FLAGS, TRACE_FLAGS];
+
+/// The run or `trace` flag list for `--help`.
+fn run_help(tables: &[&[RunFlag]]) -> String {
+    flags::render(tables) + &flags::engine_defaults(&CliOptions::default().config)
+}
+
+/// Parses the run or `trace` flags, then applies the cross-flag rules.
+fn parse_run(args: &[String], tables: &[&[RunFlag]]) -> Result<RunArgs, String> {
+    let mut a = RunArgs {
+        opts: CliOptions::default(),
+        workload: None,
+        out: "trace.jsonl".into(),
+    };
+    let seen = flags::parse("", tables, args, &mut a)?;
+    let config = &mut a.opts.config;
+    flags::default_chunks(config, &seen);
+    a.opts.workload = match &a.workload {
+        Some(s) => WorkloadSpec::parse_cli(s, config.num_chunks as u64)
+            .map_err(|e| format!("--workload: {e}"))?,
+        None => WorkloadSpec::Repeated {
+            k: config.num_servers as u32,
+        },
+    };
+    if a.opts.workload.universe() > config.num_chunks as u64 {
+        return Err(format!(
+            "workload universe {} exceeds --chunks {}",
+            a.opts.workload.universe(),
+            config.num_chunks
+        ));
+    }
+    config.validate()?;
+    Ok(a)
 }
 
 /// Parses command-line arguments (without the program name).
@@ -154,75 +299,43 @@ fn parse_positive<T: std::str::FromStr + PartialEq + From<u8>>(
 /// # Errors
 /// Returns a usage-style message on malformed input.
 pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
-    let mut opts = CliOptions::default();
-    let mut servers_set = false;
-    let mut chunks_set = false;
-    let mut workload_arg: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--policy" => opts.policy = value("--policy")?,
-            "--config" => {
-                let path = value("--config")?;
-                let json = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read config {path:?}: {e}"))?;
-                opts.config =
-                    rlb_json::from_str(&json).map_err(|e| format!("bad config {path:?}: {e}"))?;
-                servers_set = true;
-                chunks_set = true;
+    parse_run(args, RUN).map(|a| a.opts)
+}
+
+/// Code generic over the routing policy, run by [`with_policy`] once it
+/// has built the policy a name selects.
+pub(crate) trait PolicyJob {
+    /// What the job returns.
+    type Output;
+    /// Runs the job with the built policy.
+    fn run<P: Policy>(self, policy: P) -> Self::Output;
+}
+
+/// Builds the policy `name` selects for `config` and runs `job` with it:
+/// the one place policy names map to types.
+///
+/// # Errors
+/// Returns a message for an unknown name, or for `delayed-cuckoo` (alias
+/// `dcr`) with a replication other than 2.
+pub(crate) fn with_policy<J: PolicyJob>(
+    name: &str,
+    config: &SimConfig,
+    job: J,
+) -> Result<J::Output, String> {
+    Ok(match name {
+        "greedy" => job.run(Greedy::new()),
+        "delayed-cuckoo" | "dcr" => {
+            if config.replication != 2 {
+                return Err("delayed-cuckoo requires --replication 2".into());
             }
-            "--servers" => {
-                opts.config.num_servers = parse_positive("--servers", &value("--servers")?)?;
-                servers_set = true;
-            }
-            "--chunks" => {
-                opts.config.num_chunks = parse_positive("--chunks", &value("--chunks")?)?;
-                chunks_set = true;
-            }
-            "--replication" => {
-                opts.config.replication = parse_positive("--replication", &value("--replication")?)?
-            }
-            "--rate" => opts.config.process_rate = parse_positive("--rate", &value("--rate")?)?,
-            "--queue" => {
-                opts.config.queue_capacity = parse_positive("--queue", &value("--queue")?)?
-            }
-            "--steps" => opts.steps = parse_num("--steps", &value("--steps")?)?,
-            "--seed" => opts.config.seed = parse_num("--seed", &value("--seed")?)?,
-            "--flush" => {
-                opts.config.flush_interval = Some(parse_positive("--flush", &value("--flush")?)?)
-            }
-            "--workload" => workload_arg = Some(value("--workload")?),
-            "--record-trace" => opts.record_trace = Some(value("--record-trace")?),
-            "--replay-trace" => opts.replay_trace = Some(value("--replay-trace")?),
-            "--interleaved" => opts.config.drain_mode = DrainMode::Interleaved,
-            "--json" => opts.json = true,
-            other => return Err(format!("unknown option {other:?}")),
+            job.run(DelayedCuckoo::new(config))
         }
-    }
-    if servers_set && !chunks_set {
-        opts.config.num_chunks = 4 * opts.config.num_servers;
-    }
-    let default_universe = opts.config.num_chunks as u64;
-    opts.workload = match workload_arg {
-        Some(s) => WorkloadSpec::parse_cli(&s, default_universe)?,
-        None => WorkloadSpec::Repeated {
-            k: opts.config.num_servers as u32,
-        },
-    };
-    if opts.workload.universe() > opts.config.num_chunks as u64 {
-        return Err(format!(
-            "workload universe {} exceeds --chunks {}",
-            opts.workload.universe(),
-            opts.config.num_chunks
-        ));
-    }
-    opts.config.validate()?;
-    Ok(opts)
+        "one-choice" => job.run(OneChoice::new()),
+        "uniform-random" => job.run(UniformRandom::new(config.seed ^ 0xa7)),
+        "round-robin" => job.run(RoundRobin::new(config.num_chunks)),
+        "step-isolated" => job.run(TimeStepIsolated::new(config.num_servers)),
+        other => return Err(format!("unknown policy {other:?}")),
+    })
 }
 
 /// A trace replayer that owns its trace (the borrowing replayer in
@@ -250,6 +363,24 @@ pub fn run(opts: &CliOptions) -> Result<RunReport, String> {
     run_with_sink(opts, NoopSink).map(|(report, _)| report)
 }
 
+/// A simulation run with a trace sink attached.
+struct Drive<'a, S> {
+    config: SimConfig,
+    sink: S,
+    workload: &'a mut dyn rlb_core::Workload,
+    steps: u64,
+}
+
+impl<S: TraceSink> PolicyJob for Drive<'_, S> {
+    type Output = (RunReport, S);
+
+    fn run<P: Policy>(self, policy: P) -> Self::Output {
+        let mut sim = Simulation::new(self.config, policy).with_sink(self.sink);
+        sim.run(self.workload, self.steps);
+        sim.finish_traced()
+    }
+}
+
 /// Runs the described simulation with a trace sink attached, returning
 /// the report and the sink. `run` is this with [`NoopSink`] (which
 /// compiles the emission sites out entirely).
@@ -258,7 +389,7 @@ pub fn run(opts: &CliOptions) -> Result<RunReport, String> {
 /// Returns a message for an unknown policy name or a policy/config
 /// mismatch caught before the run.
 pub fn run_with_sink<S: TraceSink>(opts: &CliOptions, sink: S) -> Result<(RunReport, S), String> {
-    let config = opts.config.clone();
+    let config = &opts.config;
     let steps = opts.steps;
     // Resolve the request source: a recorded trace, or a generator
     // (optionally materialized to a trace so it can be archived).
@@ -277,7 +408,7 @@ pub fn run_with_sink<S: TraceSink>(opts: &CliOptions, sink: S) -> Result<(RunRep
         }
         (None, None) => None,
     };
-    let mut workload: Box<dyn rlb_core::Workload + Send> = match &trace {
+    let mut workload: Box<dyn rlb_core::Workload + Send> = match trace {
         Some(t) => {
             // Validate the trace against the chunk universe up front.
             for i in 0..t.len() {
@@ -290,46 +421,17 @@ pub fn run_with_sink<S: TraceSink>(opts: &CliOptions, sink: S) -> Result<(RunRep
                     }
                 }
             }
-            Box::new(OwnedReplayer { trace: t.clone() })
+            Box::new(OwnedReplayer { trace: t })
         }
         None => opts.workload.build(config.seed ^ 0x5eed),
     };
-    fn drive<P: Policy, S: TraceSink>(
-        config: SimConfig,
-        policy: P,
-        sink: S,
-        workload: &mut dyn rlb_core::Workload,
-        steps: u64,
-    ) -> (RunReport, S) {
-        let mut sim = Simulation::new(config, policy).with_sink(sink);
-        sim.run(workload, steps);
-        sim.finish_traced()
-    }
-    let out = match opts.policy.as_str() {
-        "greedy" => drive(config, Greedy::new(), sink, workload.as_mut(), steps),
-        "delayed-cuckoo" | "dcr" => {
-            if config.replication != 2 {
-                return Err("delayed-cuckoo requires --replication 2".into());
-            }
-            let policy = DelayedCuckoo::new(&config);
-            drive(config, policy, sink, workload.as_mut(), steps)
-        }
-        "one-choice" => drive(config, OneChoice::new(), sink, workload.as_mut(), steps),
-        "uniform-random" => {
-            let policy = UniformRandom::new(config.seed ^ 0xa7);
-            drive(config, policy, sink, workload.as_mut(), steps)
-        }
-        "round-robin" => {
-            let policy = RoundRobin::new(config.num_chunks);
-            drive(config, policy, sink, workload.as_mut(), steps)
-        }
-        "step-isolated" => {
-            let policy = TimeStepIsolated::new(config.num_servers);
-            drive(config, policy, sink, workload.as_mut(), steps)
-        }
-        other => return Err(format!("unknown policy {other:?}")),
+    let job = Drive {
+        config: config.clone(),
+        sink,
+        workload: workload.as_mut(),
+        steps,
     };
-    Ok(out)
+    with_policy(&opts.policy, config, job)
 }
 
 /// Runs the `trace` subcommand: the scenario described by the usual run
@@ -344,17 +446,11 @@ pub fn run_with_sink<S: TraceSink>(opts: &CliOptions, sink: S) -> Result<(RunRep
 /// or a persisted stream that fails to re-parse or disagrees with the
 /// engine's own report (both would be bugs, not user errors).
 pub fn run_trace(args: &[String]) -> Result<String, String> {
-    let mut out_path = "trace.jsonl".to_string();
-    let mut run_args: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--out" {
-            out_path = it.next().ok_or("--out requires a path")?.clone();
-        } else {
-            run_args.push(arg.clone());
-        }
-    }
-    let opts = parse_args(&run_args)?;
+    let RunArgs {
+        opts,
+        out: out_path,
+        ..
+    } = parse_run(args, TRACE)?;
     let (report, sink) = run_with_sink(&opts, rlb_trace::JsonlSink::new())?;
     std::fs::write(&out_path, sink.as_str())
         .map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
@@ -377,7 +473,6 @@ pub fn run_trace(args: &[String]) -> Result<String, String> {
         ));
     }
 
-    use std::fmt::Write as _;
     let mut out = render_text(&opts, &report);
     out.push_str(&agg.summary_table().render());
     let _ = writeln!(
@@ -392,7 +487,6 @@ pub fn run_trace(args: &[String]) -> Result<String, String> {
 
 /// Renders a run report as the human-readable text block.
 pub fn render_text(opts: &CliOptions, report: &RunReport) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -435,6 +529,38 @@ pub fn render_text(opts: &CliOptions, report: &RunReport) -> String {
     out
 }
 
+/// `lint`'s parsed flags.
+#[derive(Default)]
+struct LintArgs {
+    root: Option<String>,
+    json: Option<Option<String>>,
+    rules: Vec<String>,
+}
+
+/// A `lint` flag.
+type LintFlag = Flag<LintArgs>;
+
+const LINT_FLAGS: &[LintFlag] = &[
+    LintFlag::value("--root PATH", |a, v| set(&mut a.root, Ok(Some(v.into()))))
+        .help("workspace root holding crates/ (default .)"),
+    LintFlag::optional("--json [PATH]", |a, v| {
+        set(&mut a.json, Ok(Some(v.map(str::to_string))))
+    })
+    .help("machine-readable report: to stdout, or to PATH with the text summary on stdout"),
+    LintFlag::value("--rule NAME", |a, name| {
+        let known = rlb_lint::rules::all_rule_names();
+        if !known.contains(&name) {
+            return Err(format!(
+                "unknown rule {name:?}; known rules: {}",
+                known.join(", ")
+            ));
+        }
+        a.rules.push(name.to_string());
+        Ok(())
+    })
+    .help("keep only this rule's findings (repeatable); the exit status follows them"),
+];
+
 /// Runs the `lint` subcommand: the workspace's self-hosted static
 /// analysis (`rlb-lint`) over every `crates/*/src` file, with
 /// `crates/*/{tests,examples,benches}` and the root `tests/` as
@@ -442,55 +568,22 @@ pub fn render_text(opts: &CliOptions, report: &RunReport) -> String {
 /// manifest. Returns the rendered report and whether the workspace is
 /// clean; the binary exits nonzero on any finding.
 ///
-/// Arguments (after the `lint` subcommand): `--root PATH` (default
-/// `.`), the workspace root containing `crates/`; `--json [PATH]`
-/// renders the machine-readable report — to stdout when no path
-/// follows, otherwise to the file at PATH (the human-readable summary
-/// stays on stdout); `--rule NAME` (repeatable) keeps only findings of
-/// the named rule(s) — the exit status then reflects just those rules.
-///
 /// # Errors
 /// Returns a message on malformed arguments, an unknown `--rule` name
 /// (listing the known rules), an unreadable tree, a malformed
 /// `lint-roots.toml`, or an unwritable `--json` path (findings are
 /// reported in the summary, not as errors).
 pub fn run_lint(args: &[String]) -> Result<(String, bool), String> {
-    let mut root = ".".to_string();
-    let mut json: Option<Option<String>> = None;
-    let mut rules: Vec<String> = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => root = it.next().ok_or("--root requires a path")?.clone(),
-            "--json" => {
-                // An optional operand: consume the next token unless it
-                // is itself a flag.
-                json = match it.peek() {
-                    Some(next) if !next.starts_with("--") => Some(it.next().cloned()),
-                    _ => Some(None),
-                };
-            }
-            "--rule" => {
-                let name = it.next().ok_or("--rule requires a rule name")?.clone();
-                let known = rlb_lint::rules::all_rule_names();
-                if !known.contains(&name.as_str()) {
-                    return Err(format!(
-                        "unknown rule {name:?}; known rules: {}",
-                        known.join(", ")
-                    ));
-                }
-                rules.push(name);
-            }
-            other => return Err(format!("unknown lint option {other:?}")),
-        }
-    }
-    let mut report = rlb_lint::lint_workspace(std::path::Path::new(&root))?;
-    if !rules.is_empty() {
+    let mut a = LintArgs::default();
+    flags::parse("lint", &[LINT_FLAGS], args, &mut a)?;
+    let root = a.root.as_deref().unwrap_or(".");
+    let mut report = rlb_lint::lint_workspace(std::path::Path::new(root))?;
+    if !a.rules.is_empty() {
         report
             .findings
-            .retain(|f| rules.iter().any(|r| r == f.rule));
+            .retain(|f| a.rules.iter().any(|r| r == f.rule));
     }
-    let out = match json {
+    let out = match a.json {
         Some(Some(path)) => {
             std::fs::write(&path, report.to_json())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -502,125 +595,132 @@ pub fn run_lint(args: &[String]) -> Result<(String, bool), String> {
     Ok((out, report.is_clean()))
 }
 
-/// Runs the engine perf gate (`rlb-sim bench`) and writes the results
-/// as JSON. Returns a human-readable summary plus whether the ratio
-/// gate passed (vacuously true when no baseline file existed to compare
-/// against); the binary exits nonzero on a gate failure so CI can run
-/// the gate directly.
-///
-/// Arguments (after the `bench` subcommand):
-/// `--out PATH` (default `BENCH_engine.json`) and
-/// `--sizes M1,M2,...` (default `1024,8192,65536`).
-///
-/// # Errors
-/// Returns a message on malformed arguments or an unwritable output
-/// path.
-pub fn run_bench(args: &[String]) -> Result<(String, bool), String> {
-    if args.iter().any(|a| a == "--suite") {
-        return run_suite_bench(args);
+/// `bench`'s parsed flags; `--suite` and `--meanfield` pick the gate.
+#[derive(Default)]
+struct BenchArgs {
+    out: Option<String>,
+    sizes: Option<Vec<usize>>,
+    suite: bool,
+    quick: bool,
+    meanfield: bool,
+}
+
+/// A `bench` flag.
+type BenchFlag = Flag<BenchArgs>;
+
+const BENCH_FLAGS: &[BenchFlag] = &[
+    BenchFlag::value("--out PATH", |a, v| set(&mut a.out, Ok(Some(v.into()))))
+        .help("where to write the JSON record (default the gate's BENCH_*.json file)"),
+    BenchFlag::value("--sizes M1,M2,...", |a, spec| {
+        let sizes: Vec<usize> = spec
+            .split(',')
+            .map(|s| num(s.trim()))
+            .collect::<Result<_, _>>()?;
+        a.sizes = Some(sizes);
+        Ok(())
+    })
+    .help("engine gate (BENCH_engine.json) cluster sizes (default 1024,8192,65536)"),
+    BenchFlag::switch("--suite", |a| a.suite = true)
+        .help("gate `experiments all`, serial vs default jobs (BENCH_experiments.json)"),
+    BenchFlag::switch("--quick", |a| a.quick = true)
+        .help("with --suite: time the quick suite (smoke runs, not for committing)"),
+    BenchFlag::switch("--meanfield", |a| a.meanfield = true)
+        .help("gate the solver-vs-engine speedup at m=65536, 100x floor (BENCH_meanfield.json)"),
+];
+
+/// Runs a perf gate and writes its results as JSON: the engine gate by
+/// default, `--suite` for the experiment suite and `--meanfield` for
+/// the mean-field solver. Returns the summary and whether the gate
+/// passed (vacuously, with no baseline file to compare against).
+fn run_bench(args: &[String]) -> Result<(String, bool), String> {
+    let mut a = BenchArgs::default();
+    flags::parse("bench", &[BENCH_FLAGS], args, &mut a)?;
+    if a.suite && a.meanfield {
+        return Err("--suite and --meanfield are mutually exclusive".into());
     }
-    if args.iter().any(|a| a == "--meanfield") {
-        return run_meanfield_bench(args);
+    if a.quick && !a.suite {
+        return Err("--quick requires --suite".into());
     }
-    let mut out_path = "BENCH_engine.json".to_string();
-    let mut sizes: Vec<usize> = rlb_bench::engine::GATE_SIZES.to_vec();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                out_path = it.next().ok_or("--out requires a path")?.clone();
-            }
-            "--sizes" => {
-                let spec = it.next().ok_or("--sizes requires a list, e.g. 1024,8192")?;
-                sizes = spec
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .map_err(|_| format!("--sizes: not a number: {s:?}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if sizes.is_empty() {
-                    return Err("--sizes: empty list".into());
-                }
-            }
-            other => return Err(format!("unknown bench option {other:?}")),
-        }
+    if a.sizes.is_some() && (a.suite || a.meanfield) {
+        return Err("--sizes applies only to the engine gate".into());
     }
-    let report = rlb_bench::engine::run_gate(&sizes);
+    let out = |default: &str| a.out.clone().unwrap_or_else(|| default.to_string());
+    if a.suite {
+        run_suite_bench(&out("BENCH_experiments.json"), a.quick)
+    } else if a.meanfield {
+        run_meanfield_bench(&out("BENCH_meanfield.json"))
+    } else {
+        let sizes = a.sizes.as_deref().unwrap_or(&rlb_bench::engine::GATE_SIZES);
+        run_engine_bench(&out("BENCH_engine.json"), sizes)
+    }
+}
+
+/// Writes a bench report to `path` as pretty JSON.
+fn write_report<T: rlb_json::ToJson>(path: &str, report: &T) -> Result<(), String> {
+    std::fs::write(path, rlb_json::to_string_pretty(report))
+        .map_err(|e| format!("cannot write {path:?}: {e}"))
+}
+
+/// The `  0.96x vs baseline` suffix of a gated row (empty without a
+/// baseline entry).
+fn vs_baseline(rows: &[GateRow], name: &str) -> String {
+    rows.iter()
+        .find(|g| g.name == name)
+        .map(|g| format!("  {:>5.2}x vs baseline", g.ratio))
+        .unwrap_or_default()
+}
+
+/// Appends the worst-ratio verdict line the engine and suite gates share
+/// and returns whether the gate passed (vacuously, with no baseline).
+fn gate_verdict(summary: &mut String, gate: &str, rows: &[GateRow]) -> bool {
+    let Some(worst) = rows.iter().min_by(|a, b| a.ratio.total_cmp(&b.ratio)) else {
+        return true;
+    };
+    let passed = worst.passes();
+    let verdict = if passed { "PASS" } else { "FAIL" };
+    let _ = writeln!(
+        summary,
+        "{gate} gate: worst ratio {:.2}x ({}) vs threshold {GATE_MIN_RATIO:.2}x -> {verdict}",
+        worst.ratio, worst.name
+    );
+    passed
+}
+
+/// The engine perf gate: light/heavy/interleaved scenarios per size.
+fn run_engine_bench(out_path: &str, sizes: &[usize]) -> Result<(String, bool), String> {
+    use rlb_bench::engine::{compare_to_baseline, parse_baseline, run_gate};
+    let report = run_gate(sizes);
     // Compare against the previous results before overwriting them: the
     // engine runs with tracing compiled out (the default `NoopSink`),
     // so this row-by-row ratio is the traced-off overhead gate.
-    let baseline = std::fs::read_to_string(&out_path)
+    let rows = std::fs::read_to_string(out_path)
         .ok()
-        .and_then(|old| rlb_bench::engine::parse_baseline(&old).ok());
-    let gate_rows = baseline
-        .as_deref()
-        .map(|b| rlb_bench::engine::compare_to_baseline(&report, b))
+        .and_then(|old| parse_baseline(&old).ok())
+        .map(|b| compare_to_baseline(&report, &b))
         .unwrap_or_default();
-    let json = rlb_json::to_string_pretty(&report);
-    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
-    use std::fmt::Write as _;
+    write_report(out_path, &report)?;
     let mut summary = String::new();
     for r in &report.results {
-        let vs_baseline = gate_rows
-            .iter()
-            .find(|g| g.name == r.name)
-            .map(|g| format!("  {:>5.2}x vs baseline", g.ratio))
-            .unwrap_or_default();
         let _ = writeln!(
             summary,
-            "{:<24} {:>12.1} steps/s  {:>14.1} requests/s{vs_baseline}",
-            r.name, r.steps_per_sec, r.requests_per_sec
+            "{:<24} {:>12.1} steps/s  {:>14.1} requests/s{}",
+            r.name,
+            r.steps_per_sec,
+            r.requests_per_sec,
+            vs_baseline(&rows, &r.name)
         );
     }
-    let mut passed = true;
-    if !gate_rows.is_empty() {
-        let worst = gate_rows
-            .iter()
-            .min_by(|a, b| a.ratio.total_cmp(&b.ratio))
-            .expect("non-empty");
-        passed = worst.passes();
-        let verdict = if passed { "PASS" } else { "FAIL" };
-        let _ = writeln!(
-            summary,
-            "traced-off gate: worst ratio {:.2}x ({}) vs threshold {:.2}x -> {verdict}",
-            worst.ratio,
-            worst.name,
-            rlb_bench::engine::GATE_MIN_RATIO
-        );
-    }
+    let passed = gate_verdict(&mut summary, "traced-off", &rows);
     let _ = writeln!(summary, "wrote {out_path}");
     Ok((summary, passed))
 }
 
-/// Runs the mean-field speedup gate (`rlb-sim bench --meanfield`):
-/// times steady-state solves across `m` plus the solver-vs-engine
-/// comparison at `m = 65536`, writes `BENCH_meanfield.json`, and fails
-/// (exit 1) if the recorded speedup drops below the committed 100x
-/// floor.
-///
-/// Arguments: `--out PATH` (default `BENCH_meanfield.json`).
-///
-/// # Errors
-/// Returns a message on malformed arguments or an unwritable output
-/// path.
-fn run_meanfield_bench(args: &[String]) -> Result<(String, bool), String> {
-    let mut out_path = "BENCH_meanfield.json".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--meanfield" => {}
-            "--out" => {
-                out_path = it.next().ok_or("--out requires a path")?.clone();
-            }
-            other => return Err(format!("unknown bench --meanfield option {other:?}")),
-        }
-    }
+/// The mean-field speedup gate: steady-state solves across `m` plus the
+/// solver-vs-engine comparison at `m = 65536`, against the committed
+/// 100x floor.
+fn run_meanfield_bench(out_path: &str) -> Result<(String, bool), String> {
     let report = rlb_bench::meanfield::run_gate();
-    let json = rlb_json::to_string_pretty(&report);
-    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
-    use std::fmt::Write as _;
+    write_report(out_path, &report)?;
     let mut summary = String::new();
     for r in &report.results {
         let engine = if r.engine_steps > 0 {
@@ -655,57 +755,29 @@ fn run_meanfield_bench(args: &[String]) -> Result<(String, bool), String> {
     Ok((summary, passed))
 }
 
-/// Runs the experiment-suite wall-clock gate (`rlb-sim bench --suite`):
-/// times the `experiments` binary serial vs default-jobs (fastest of 3
-/// full-suite runs each, subprocess so the executor size can differ),
-/// compares against the committed `BENCH_experiments.json`, and
-/// rewrites it.
-///
-/// Arguments: `--out PATH` (default `BENCH_experiments.json`) and
-/// `--quick` (time the quick suite; for smoke runs, not for committing).
-///
-/// # Errors
-/// Returns a message on malformed arguments, a missing `experiments`
-/// binary, a failing suite run, or an unwritable output path.
-fn run_suite_bench(args: &[String]) -> Result<(String, bool), String> {
-    let mut out_path = "BENCH_experiments.json".to_string();
-    let mut quick = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--suite" => {}
-            "--quick" => quick = true,
-            "--out" => {
-                out_path = it.next().ok_or("--out requires a path")?.clone();
-            }
-            other => return Err(format!("unknown bench --suite option {other:?}")),
-        }
-    }
+/// The experiment-suite wall-clock gate: the `experiments` binary
+/// serial vs default-jobs (fastest of 3 full-suite runs each, as a
+/// subprocess so the executor size can differ), against the previous
+/// numbers in `out_path`.
+fn run_suite_bench(out_path: &str, quick: bool) -> Result<(String, bool), String> {
+    use rlb_bench::suite::{compare_to_baseline, parse_baseline, run_suite_gate};
     let bin = rlb_bench::suite::locate_experiments_bin()?;
-    let report = rlb_bench::suite::run_suite_gate(&bin, quick)?;
-    let baseline = std::fs::read_to_string(&out_path)
+    let report = run_suite_gate(&bin, quick)?;
+    let rows = std::fs::read_to_string(out_path)
         .ok()
-        .and_then(|old| rlb_bench::suite::parse_baseline(&old).ok());
-    let gate_rows = baseline
-        .as_deref()
-        .map(|b| rlb_bench::suite::compare_to_baseline(&report, b))
+        .and_then(|old| parse_baseline(&old).ok())
+        .map(|b| compare_to_baseline(&report, &b))
         .unwrap_or_default();
-    let json = rlb_json::to_string_pretty(&report);
-    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
-    use std::fmt::Write as _;
+    write_report(out_path, &report)?;
     let mut summary = String::new();
     for r in &report.results {
-        let vs_baseline = gate_rows
-            .iter()
-            .find(|g| g.name == r.name)
-            .map(|g| format!("  {:>5.2}x vs baseline", g.ratio))
-            .unwrap_or_default();
         let _ = writeln!(
             summary,
-            "{:<16} {:>8.2} s  fastest of {}{vs_baseline}",
+            "{:<16} {:>8.2} s  fastest of {}{}",
             r.name,
             r.elapsed_nanos as f64 / 1e9,
-            r.samples
+            r.samples,
+            vs_baseline(&rows, &r.name)
         );
     }
     let _ = writeln!(
@@ -713,22 +785,7 @@ fn run_suite_bench(args: &[String]) -> Result<(String, bool), String> {
         "parallel speedup: {:.2}x over serial (default jobs = {})",
         report.speedup, report.default_jobs
     );
-    let mut passed = true;
-    if !gate_rows.is_empty() {
-        let worst = gate_rows
-            .iter()
-            .min_by(|a, b| a.ratio.total_cmp(&b.ratio))
-            .expect("non-empty");
-        passed = worst.passes();
-        let verdict = if passed { "PASS" } else { "FAIL" };
-        let _ = writeln!(
-            summary,
-            "suite gate: worst ratio {:.2}x ({}) vs threshold {:.2}x -> {verdict}",
-            worst.ratio,
-            worst.name,
-            rlb_bench::engine::GATE_MIN_RATIO
-        );
-    }
+    let passed = gate_verdict(&mut summary, "suite", &rows);
     let _ = writeln!(summary, "wrote {out_path}");
     Ok((summary, passed))
 }

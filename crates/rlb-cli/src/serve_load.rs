@@ -9,13 +9,13 @@
 //! output for a fixed seed regardless of `--jobs` (the property
 //! `rlb-load`'s golden test pins).
 
-use rlb_core::policies::{
-    DelayedCuckoo, Greedy, OneChoice, RoundRobin, TimeStepIsolated, UniformRandom,
-};
-use rlb_core::SimConfig;
+use crate::flags::{self, num, positive, set, Flag};
+use crate::{with_policy, CliError, PolicyJob};
+use rlb_core::{Policy, SimConfig};
 use rlb_load::{run_live, run_sim, Client, ClientConfig, LiveSpec, Mode, Popularity, SimSpec};
 use rlb_pool::Pool;
 use rlb_serve::{serve_blocking, ServeConfig, ServeOptions, ServerCore};
+use std::fmt::Write as _;
 
 /// Parsed options shared by `serve` and `load` (the union: `--sim-clock`
 /// runs the co-simulation, which needs both the engine and the load
@@ -93,75 +93,111 @@ impl Default for ServeLoadOptions {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
-    raw.parse()
-        .map_err(|_| format!("{flag}: not a number: {raw:?}"))
-}
-
-fn parse_positive<T: std::str::FromStr + PartialEq + From<u8>>(
-    flag: &str,
-    raw: &str,
-) -> Result<T, String> {
-    let v: T = parse_num(flag, raw)?;
-    if v == T::from(0u8) {
-        return Err(format!("{flag}: must be positive, got {raw:?}"));
+impl AsMut<SimConfig> for ServeLoadOptions {
+    fn as_mut(&mut self) -> &mut SimConfig {
+        &mut self.engine
     }
-    Ok(v)
 }
 
 /// Parses `open:RATE` / `closed:K`.
 fn parse_mode(spec: &str) -> Result<Mode, String> {
-    let err = || format!("--mode: expected open:RATE or closed:K, got {spec:?}");
-    let (kind, arg) = spec.split_once(':').ok_or_else(err)?;
-    match kind {
-        "open" => {
-            let rate: f64 = arg.parse().map_err(|_| err())?;
-            if !(rate.is_finite() && rate > 0.0) {
-                return Err(format!("--mode: open rate must be positive, got {arg:?}"));
-            }
-            Ok(Mode::Open { rate })
-        }
-        "closed" => {
-            let concurrency: u32 = arg.parse().map_err(|_| err())?;
-            if concurrency == 0 {
-                return Err(format!(
-                    "--mode: closed window must be positive, got {arg:?}"
-                ));
-            }
-            Ok(Mode::Closed { concurrency })
-        }
-        _ => Err(err()),
+    match spec.split_once(':') {
+        Some(("open", rate)) => Ok(Mode::Open {
+            rate: flags::float(rate, "a positive rate", |r| r > 0.0)?,
+        }),
+        Some(("closed", k)) => Ok(Mode::Closed {
+            concurrency: positive(k)?,
+        }),
+        _ => Err(format!("expected open:RATE or closed:K, got {spec:?}")),
     }
 }
 
 /// Parses `uniform:U` / `zipf:ALPHA,U` / `phased:W,K,T,U`.
 fn parse_popularity(spec: &str) -> Result<Popularity, String> {
-    let err = || {
-        format!("--popularity: expected uniform:U | zipf:ALPHA,U | phased:W,K,T,U, got {spec:?}")
-    };
+    let err = || format!("expected uniform:U | zipf:ALPHA,U | phased:W,K,T,U, got {spec:?}");
     let (kind, args) = spec.split_once(':').ok_or_else(err)?;
     let parts: Vec<&str> = args.split(',').collect();
     match (kind, parts.as_slice()) {
         ("uniform", [u]) => Ok(Popularity::Uniform {
-            universe: parse_positive("--popularity", u)?,
+            universe: positive(u)?,
         }),
-        ("zipf", [alpha, u]) => {
-            let alpha: f64 = alpha
-                .parse()
-                .map_err(|_| format!("--popularity: bad alpha {alpha:?}"))?;
-            Ok(Popularity::Zipf {
-                alpha,
-                universe: parse_positive("--popularity", u)?,
-            })
-        }
+        ("zipf", [alpha, u]) => Ok(Popularity::Zipf {
+            alpha: num(alpha)?,
+            universe: positive(u)?,
+        }),
         ("phased", [w, k, t, u]) => Ok(Popularity::Phased {
-            sets: parse_positive("--popularity", w)?,
-            set_size: parse_positive("--popularity", k)?,
-            ticks_per_phase: parse_positive("--popularity", t)?,
-            universe: parse_positive("--popularity", u)?,
+            sets: positive(w)?,
+            set_size: positive(k)?,
+            ticks_per_phase: positive(t)?,
+            universe: positive(u)?,
         }),
         _ => Err(err()),
     }
+}
+
+/// A `serve`/`load` flag.
+type ServeLoadFlag = Flag<ServeLoadOptions>;
+
+/// The serve/load flags besides the engine ones. Both subcommands
+/// accept all of them; each mode reads the ones it needs.
+const SERVE_LOAD_FLAGS: &[ServeLoadFlag] = &[
+    ServeLoadFlag::switch("--sim-clock", |o| o.sim_clock = true)
+        .help("run the deterministic virtual-time serve+load co-simulation"),
+    ServeLoadFlag::value("--listen ADDR", |o, v| set(&mut o.listen, Ok(v.into())))
+        .help("serve: address to bind (default 127.0.0.1:7070; port 0 picks one)"),
+    ServeLoadFlag::value("--connect ADDR", |o, v| set(&mut o.connect, Ok(v.into())))
+        .help("load: server address (default 127.0.0.1:7070)"),
+    ServeLoadFlag::value("--policy NAME", |o, v| set(&mut o.policy, Ok(v.into())))
+        .help("routing policy, as for the top-level run (default greedy)"),
+    ServeLoadFlag::value("--gate L", |o, v| set(&mut o.gate, positive(v).map(Some)))
+        .help("admission limit on requests in flight (default 4·m·g)"),
+    ServeLoadFlag::value("--max-requests N", |o, v| {
+        set(&mut o.max_requests, positive(v).map(Some))
+    })
+    .help("serve: stop after N responses (default: run until killed)"),
+    ServeLoadFlag::value("--jobs J", |o, v| set(&mut o.jobs, positive(v)))
+        .help("executor threads (default RLB_JOBS or all cores)"),
+    ServeLoadFlag::value("--clients C", |o, v| set(&mut o.clients, positive(v)))
+        .help("load clients (default 4)"),
+    ServeLoadFlag::value("--requests N", |o, v| set(&mut o.requests, positive(v)))
+        .help("requests per client (default 256)"),
+    ServeLoadFlag::value("--mode open:R|closed:K", |o, v| {
+        set(&mut o.mode, parse_mode(v))
+    })
+    .help("open loop at R requests per tick, or K in flight (default closed:8)"),
+    ServeLoadFlag::value("--popularity SHAPE", |o, v| {
+        set(&mut o.popularity, parse_popularity(v))
+    })
+    .help("uniform:U | zipf:ALPHA,U | phased:W,K,T,U (default zipf:1.1,1024)"),
+    ServeLoadFlag::value("--put-ratio F", |o, v| {
+        set(
+            &mut o.put_ratio,
+            flags::float(v, "in [0,1]", |r| (0.0..=1.0).contains(&r)),
+        )
+    })
+    .help("fraction of requests that are puts (default 0.25)"),
+    ServeLoadFlag::value("--tenants T", |o, v| set(&mut o.tenants, positive(v)))
+        .help("tenants the clients are spread over (default 2)"),
+    ServeLoadFlag::value("--ticks T", |o, v| set(&mut o.ticks, positive(v)))
+        .help("sim-clock: ticks in the issue window (default 64)"),
+    ServeLoadFlag::switch("--transcript", |o| o.transcript = true)
+        .help("sim-clock: print the per-frame transcript"),
+    ServeLoadFlag::value("--tick-micros U", |o, v| {
+        set(&mut o.tick_micros, positive(v))
+    })
+    .help("live load: wall microseconds per open-loop tick (default 1000)"),
+    ServeLoadFlag::value("--max-seconds S", |o, v| {
+        set(&mut o.max_seconds, positive(v))
+    })
+    .help("live load: give up after S wall seconds (default 30)"),
+];
+
+/// Every serve/load flag table.
+const SERVE_LOAD: &[&[ServeLoadFlag]] = &[&Flag::ENGINE, SERVE_LOAD_FLAGS];
+
+/// The serve/load flag list for `--help`.
+pub(crate) fn help() -> String {
+    flags::render(SERVE_LOAD) + &flags::engine_defaults(&ServeLoadOptions::default().engine)
 }
 
 /// Parses the shared serve/load flag set.
@@ -170,68 +206,8 @@ fn parse_popularity(spec: &str) -> Result<Popularity, String> {
 /// Returns a usage-style message on malformed input.
 pub fn parse_serve_load_args(args: &[String]) -> Result<ServeLoadOptions, String> {
     let mut opts = ServeLoadOptions::default();
-    let mut servers_set = false;
-    let mut chunks_set = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--sim-clock" => opts.sim_clock = true,
-            "--listen" => opts.listen = value("--listen")?,
-            "--connect" => opts.connect = value("--connect")?,
-            "--policy" => opts.policy = value("--policy")?,
-            "--servers" => {
-                opts.engine.num_servers = parse_positive("--servers", &value("--servers")?)?;
-                servers_set = true;
-            }
-            "--chunks" => {
-                opts.engine.num_chunks = parse_positive("--chunks", &value("--chunks")?)?;
-                chunks_set = true;
-            }
-            "--replication" => {
-                opts.engine.replication = parse_positive("--replication", &value("--replication")?)?
-            }
-            "--rate" => opts.engine.process_rate = parse_positive("--rate", &value("--rate")?)?,
-            "--queue" => {
-                opts.engine.queue_capacity = parse_positive("--queue", &value("--queue")?)?
-            }
-            "--seed" => opts.engine.seed = parse_num("--seed", &value("--seed")?)?,
-            "--gate" => opts.gate = Some(parse_positive("--gate", &value("--gate")?)?),
-            "--max-requests" => {
-                opts.max_requests =
-                    Some(parse_positive("--max-requests", &value("--max-requests")?)?)
-            }
-            "--jobs" => opts.jobs = parse_positive("--jobs", &value("--jobs")?)?,
-            "--clients" => opts.clients = parse_positive("--clients", &value("--clients")?)?,
-            "--requests" => opts.requests = parse_positive("--requests", &value("--requests")?)?,
-            "--mode" => opts.mode = parse_mode(&value("--mode")?)?,
-            "--popularity" => opts.popularity = parse_popularity(&value("--popularity")?)?,
-            "--put-ratio" => {
-                let r: f64 = parse_num("--put-ratio", &value("--put-ratio")?)?;
-                if !(0.0..=1.0).contains(&r) {
-                    return Err(format!("--put-ratio: must be in [0,1], got {r}"));
-                }
-                opts.put_ratio = r;
-            }
-            "--tenants" => opts.tenants = parse_positive("--tenants", &value("--tenants")?)?,
-            "--ticks" => opts.ticks = parse_positive("--ticks", &value("--ticks")?)?,
-            "--transcript" => opts.transcript = true,
-            "--tick-micros" => {
-                opts.tick_micros = parse_positive("--tick-micros", &value("--tick-micros")?)?
-            }
-            "--max-seconds" => {
-                opts.max_seconds = parse_positive("--max-seconds", &value("--max-seconds")?)?
-            }
-            other => return Err(format!("unknown serve/load option {other:?}")),
-        }
-    }
-    if servers_set && !chunks_set {
-        opts.engine.num_chunks = 4 * opts.engine.num_servers;
-    }
+    let seen = flags::parse("serve/load", SERVE_LOAD, args, &mut opts)?;
+    flags::default_chunks(&mut opts.engine, &seen);
     opts.engine.validate()?;
     opts.seed = opts.engine.seed;
     Ok(opts)
@@ -264,68 +240,39 @@ impl ServeLoadOptions {
     }
 }
 
-/// Dispatches on the policy name, handing a constructed [`ServerCore`]
-/// to `f`. The same names (and the `dcr` d=2 restriction) as the
-/// top-level simulator.
-fn with_core<R>(opts: &ServeLoadOptions, f: impl FnOnce(CoreAny) -> R) -> Result<R, String> {
-    let cfg = opts.serve_config();
-    let engine = &cfg.engine;
-    Ok(match opts.policy.as_str() {
-        "greedy" => f(CoreAny::Greedy(ServerCore::new(cfg.clone(), Greedy::new()))),
-        "delayed-cuckoo" | "dcr" => {
-            if engine.replication != 2 {
-                return Err("delayed-cuckoo requires --replication 2".into());
-            }
-            let policy = DelayedCuckoo::new(engine);
-            f(CoreAny::DelayedCuckoo(ServerCore::new(cfg.clone(), policy)))
-        }
-        "one-choice" => f(CoreAny::OneChoice(ServerCore::new(
-            cfg.clone(),
-            OneChoice::new(),
-        ))),
-        "uniform-random" => {
-            let policy = UniformRandom::new(engine.seed ^ 0xa7);
-            f(CoreAny::UniformRandom(ServerCore::new(cfg.clone(), policy)))
-        }
-        "round-robin" => {
-            let policy = RoundRobin::new(engine.num_chunks);
-            f(CoreAny::RoundRobin(ServerCore::new(cfg.clone(), policy)))
-        }
-        "step-isolated" => {
-            let policy = TimeStepIsolated::new(engine.num_servers);
-            f(CoreAny::StepIsolated(ServerCore::new(cfg.clone(), policy)))
-        }
-        other => return Err(format!("unknown policy {other:?}")),
-    })
+/// A [`ServerCore`] run once its policy is built: the sim-clock
+/// co-simulation, or the live daemon when given a bound listener.
+struct CoreJob<'a> {
+    opts: &'a ServeLoadOptions,
+    pool: &'a Pool,
+    listener: Option<std::net::TcpListener>,
 }
 
-/// A policy-erased [`ServerCore`] (each driver is generic over the
-/// policy; this enum lets one closure accept any of them).
-enum CoreAny {
-    Greedy(ServerCore<Greedy>),
-    DelayedCuckoo(ServerCore<DelayedCuckoo>),
-    OneChoice(ServerCore<OneChoice>),
-    UniformRandom(ServerCore<UniformRandom>),
-    RoundRobin(ServerCore<RoundRobin>),
-    StepIsolated(ServerCore<TimeStepIsolated>),
-}
+impl PolicyJob for CoreJob<'_> {
+    type Output = Result<String, String>;
 
-/// Runs the sim-clock co-simulation and renders its deterministic text.
-fn run_sim_clock(opts: &ServeLoadOptions, pool: &Pool) -> Result<String, String> {
-    let clients: Vec<Client> = opts.client_configs().into_iter().map(Client::new).collect();
-    let spec = SimSpec {
-        ticks: opts.ticks,
-        transcript: opts.transcript,
-    };
-    let out = with_core(opts, |core| match core {
-        CoreAny::Greedy(c) => run_sim(c, clients, &spec, pool),
-        CoreAny::DelayedCuckoo(c) => run_sim(c, clients, &spec, pool),
-        CoreAny::OneChoice(c) => run_sim(c, clients, &spec, pool),
-        CoreAny::UniformRandom(c) => run_sim(c, clients, &spec, pool),
-        CoreAny::RoundRobin(c) => run_sim(c, clients, &spec, pool),
-        CoreAny::StepIsolated(c) => run_sim(c, clients, &spec, pool),
-    })?;
-    Ok(out.text)
+    fn run<P: Policy>(self, policy: P) -> Self::Output {
+        let (opts, pool) = (self.opts, self.pool);
+        let core = ServerCore::new(opts.serve_config(), policy);
+        let Some(listener) = self.listener else {
+            let clients = opts.client_configs().into_iter().map(Client::new).collect();
+            let spec = SimSpec {
+                ticks: opts.ticks,
+                transcript: opts.transcript,
+            };
+            return Ok(run_sim(core, clients, &spec, pool).text);
+        };
+        let serve_opts = ServeOptions {
+            max_requests: opts.max_requests,
+            ..Default::default()
+        };
+        let outcome =
+            serve_blocking(listener, core, &serve_opts, pool).map_err(|e| format!("serve: {e}"))?;
+        Ok(format!(
+            "served {} responses over {} sessions\n{}",
+            outcome.responses, outcome.sessions, outcome.summary
+        ))
+    }
 }
 
 /// Runs the `serve` subcommand. Live mode binds `--listen` and serves
@@ -339,37 +286,23 @@ fn run_sim_clock(opts: &ServeLoadOptions, pool: &Pool) -> Result<String, String>
 pub fn run_serve(args: &[String]) -> Result<String, String> {
     let opts = parse_serve_load_args(args)?;
     let pool = Pool::new(opts.jobs);
-    if opts.sim_clock {
-        return run_sim_clock(&opts, &pool);
-    }
-    let listener = std::net::TcpListener::bind(&opts.listen)
-        .map_err(|e| format!("cannot bind {}: {e}", opts.listen))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| format!("local_addr: {e}"))?;
-    eprintln!("rlb-serve: listening on {addr} (policy {})", opts.policy);
-    let serve_opts = ServeOptions {
-        max_requests: opts.max_requests,
-        ..Default::default()
+    let listener = if opts.sim_clock {
+        None
+    } else {
+        let listener = std::net::TcpListener::bind(&opts.listen)
+            .map_err(|e| format!("cannot bind {}: {e}", opts.listen))?;
+        let addr = listener
+            .local_addr()
+            .map_err(|e| format!("local_addr: {e}"))?;
+        eprintln!("rlb-serve: listening on {addr} (policy {})", opts.policy);
+        Some(listener)
     };
-    let outcome = with_core(&opts, |core| match core {
-        CoreAny::Greedy(c) => serve_blocking(listener, c, &serve_opts, &pool),
-        CoreAny::DelayedCuckoo(c) => serve_blocking(listener, c, &serve_opts, &pool),
-        CoreAny::OneChoice(c) => serve_blocking(listener, c, &serve_opts, &pool),
-        CoreAny::UniformRandom(c) => serve_blocking(listener, c, &serve_opts, &pool),
-        CoreAny::RoundRobin(c) => serve_blocking(listener, c, &serve_opts, &pool),
-        CoreAny::StepIsolated(c) => serve_blocking(listener, c, &serve_opts, &pool),
-    })?
-    .map_err(|e| format!("serve: {e}"))?;
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "served {} responses over {} sessions",
-        outcome.responses, outcome.sessions
-    );
-    out.push_str(&outcome.summary);
-    Ok(out)
+    let job = CoreJob {
+        opts: &opts,
+        pool: &pool,
+        listener,
+    };
+    with_policy(&opts.policy, &opts.engine, job)?
 }
 
 /// Runs the `load` subcommand. Live mode connects every client to
@@ -377,13 +310,22 @@ pub fn run_serve(args: &[String]) -> Result<String, String> {
 /// microseconds); `--sim-clock` runs the co-simulation instead.
 ///
 /// # Errors
-/// Returns a message on malformed arguments or if any client failed to
-/// run cleanly (partial results are still reported first).
-pub fn run_load(args: &[String]) -> Result<String, String> {
+/// A malformed argument is a usage error (exit 2); a policy/config
+/// mismatch or any client failing to run cleanly fails the run (exit 1;
+/// partial results are still reported first).
+pub fn run_load(args: &[String]) -> Result<String, CliError> {
     let opts = parse_serve_load_args(args)?;
+    let failed = |message| CliError { code: 1, message };
     let pool = Pool::new(opts.jobs.max(opts.clients));
     if opts.sim_clock {
-        return run_sim_clock(&opts, &pool);
+        let job = CoreJob {
+            opts: &opts,
+            pool: &pool,
+            listener: None,
+        };
+        return with_policy(&opts.policy, &opts.engine, job)
+            .and_then(|text| text)
+            .map_err(failed);
     }
     let spec = LiveSpec {
         addr: opts.connect.clone(),
@@ -393,17 +335,19 @@ pub fn run_load(args: &[String]) -> Result<String, String> {
     let results = run_live(opts.client_configs(), &spec, &pool);
     let report = rlb_load::aggregate(&results);
     let mut out = report.render("10us");
-    let mut failed = 0;
+    let mut failures = 0;
     for (i, r) in results.iter().enumerate() {
         if let Some(e) = &r.error {
-            use std::fmt::Write as _;
             let _ = writeln!(out, "client {i}: {e}");
-            failed += 1;
+            failures += 1;
         }
     }
-    if failed > 0 {
+    if failures > 0 {
         print!("{out}");
-        return Err(format!("{failed} of {} clients failed", results.len()));
+        return Err(failed(format!(
+            "{failures} of {} clients failed",
+            results.len()
+        )));
     }
     Ok(out)
 }

@@ -12,51 +12,79 @@
 
 use rlb_experiments::{registry, usage, ExperimentEntry};
 
+/// The parsed command line.
+struct Args {
+    quick: bool,
+    json: bool,
+    out_dir: Option<String>,
+    jobs: Option<usize>,
+    /// Experiment ids (lowercased) or `all`.
+    wanted: Vec<String>,
+}
+
+/// Parses the arguments after the program name. An unknown flag, or a
+/// flag missing its value, is a usage error that names the flag.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        quick: false,
+        json: false,
+        out_dir: None,
+        jobs: None,
+        wanted: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
+            "--json" => parsed.json = true,
+            "--out-dir" => match it.next() {
+                Some(dir) if !dir.starts_with("--") => parsed.out_dir = Some(dir.clone()),
+                _ => return Err("--out-dir expects a directory, but no value followed it".into()),
+            },
+            "--jobs" => {
+                let Some(raw) = it.next() else {
+                    return Err(
+                        "--jobs expects a positive integer, but no value followed it".into(),
+                    );
+                };
+                match raw.parse::<usize>() {
+                    Ok(jobs) if jobs >= 1 => parsed.jobs = Some(jobs),
+                    _ => return Err(format!("--jobs expects a positive integer, got {raw:?}")),
+                }
+            }
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown option {flag:?} (see --help)"));
+            }
+            id => parsed.wanted.push(id.to_lowercase()),
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{}", usage());
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let value_of = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
+    let usage_error = |e: String| -> ! {
+        eprintln!("{e}");
+        std::process::exit(2);
     };
-    let out_dir = value_of("--out-dir");
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        let Some(raw) = args.get(i + 1) else {
-            eprintln!("--jobs expects a positive integer, but no value followed it");
-            std::process::exit(2);
-        };
-        let jobs = match raw.parse::<usize>() {
-            Ok(jobs) if jobs >= 1 => jobs,
-            _ => {
-                eprintln!("--jobs expects a positive integer, got {raw:?}");
-                std::process::exit(2);
-            }
-        };
+    let Args {
+        quick,
+        json,
+        out_dir,
+        jobs,
+        wanted,
+    } = parse_args(&args).unwrap_or_else(|e| usage_error(e));
+    if let Some(jobs) = jobs {
         rlb_pool::set_global_jobs(jobs);
     }
-    let mut skip_next = false;
-    let wanted: Vec<String> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--out-dir" || *a == "--jobs" {
-                skip_next = true;
-            }
-            !a.starts_with("--")
-        })
-        .map(|a| a.to_lowercase())
-        .collect();
     if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).expect("cannot create --out-dir");
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            usage_error(format!("--out-dir: cannot create {dir:?}: {e}"));
+        }
     }
     let run_all = wanted.is_empty() || wanted.iter().any(|w| w == "all");
 
